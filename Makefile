@@ -1,38 +1,14 @@
 GO ?= go
 
-.PHONY: check vet lint build test race race-par race-te race-chaos race-sched race-ctl race-wal bench bench-sim bench-dcn bench-te bench-chaos bench-sched bench-ctl bench-wal profile-dcn experiments clean
+.PHONY: check vet lint build test race bench bench-dcn bench-te bench-chaos bench-sched bench-ctl bench-wal profile-dcn experiments clean
 
-# The gate every change must pass: vet, build everything, race-test the
-# parallel engine under contention, race-test the TE loop (its Loop is
-# shared between the runner goroutine and status serving), race-test the
-# chaos subsystem (its injector threads live reconciler workers through
-# scenario replays), race-test the online scheduler (its Scheduler is
-# shared between the runner tick loop, fleet-event feedback, and RPC
-# status/submit), race-test the control protocol (one pipelined client is
-# shared by N callers and one server connection runs decode, a worker
-# pool and encode concurrently), race-test the durable-state subsystem
-# (its group-commit writer batches concurrent appenders and the store is
-# shared by three journal sources plus the checkpointer), then race-test
-# everything.
-check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race
-
-race-par:
-	$(GO) test -race ./internal/par/...
-
-race-te:
-	$(GO) test -race ./internal/te/...
-
-race-chaos:
-	$(GO) test -race ./internal/chaos/...
-
-race-sched:
-	$(GO) test -race ./internal/sched/... ./internal/superpod/...
-
-race-ctl:
-	$(GO) test -race ./internal/ctlrpc/...
-
-race-wal:
-	$(GO) test -race ./internal/wal/...
+# The gate every change must pass: vet (which runs the lint suite), build
+# everything, then race-test every package. One `go test -race ./...`
+# already covers the concurrency-heavy suites (the par worker pool, the TE
+# runner, the chaos injector, the online scheduler, the pipelined ctlrpc
+# server and the WAL group-commit writer), so no package needs a second,
+# separate race run.
+check: vet build race
 
 # gofmt -l prints unformatted files; any hit fails the target with a
 # readable diagnostic. vet folds in the project analyzer suite (lint):
@@ -61,12 +37,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Repeated runs of the parallelized Monte Carlo benchmarks (Fig 11b BER,
-# Fig 13 fleet BER, Fig 15 goodput) in machine-readable form, for tracking
-# the internal/par speedup across changes.
-bench-sim:
-	$(GO) test -json -run '^$$' -bench 'Fig11b|Fig13|Fig15' -benchmem -count=5 . > BENCH_sim.json
 
 # Repeated runs of the DCN flow-simulator benchmarks in machine-readable
 # form: the end-to-end §4.2 reproduction (DCNTopologyEngineering), the

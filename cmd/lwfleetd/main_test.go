@@ -46,19 +46,11 @@ func TestBuildFleet(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ps, err := m.PodStatus("pod0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ps.Converged && len(ps.ActualSlices) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pod0 never converged: %+v", ps)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := m.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if ps, err := m.PodStatus("pod0"); err != nil || !ps.Converged || len(ps.ActualSlices) != 1 {
+		t.Fatalf("pod0 never converged: %+v (%v)", ps, err)
 	}
 }
 
@@ -88,19 +80,11 @@ func TestBuildFleetChaos(t *testing.T) {
 	if err := inj.Apply(chaos.Event{Kind: chaos.KindPodLoss, Pod: "pod1"}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ps, err := m.PodStatus("pod1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ps.Quarantined {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pod1 never quarantined: %+v", ps)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := m.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if ps, err := m.PodStatus("pod1"); err != nil || !ps.Quarantined {
+		t.Fatalf("pod1 never quarantined: %+v (%v)", ps, err)
 	}
 }
 

@@ -23,12 +23,12 @@
 //
 // Determinism contract: everything measured in a Report is a pure
 // function of the (scenario, config, seed) triple. Fleet reconciliation
-// runs on wall-clock goroutines, so the evaluator applies each
-// fleet-touching fault and waits for its deterministic settle signature
-// (exactly QuarantineAfter reconcile errors before a quarantine, a
-// recovered edge after an undrain, one convergence per drain toggle)
-// before advancing virtual time; wall-clock durations never enter the
-// report.
+// runs on wall-clock goroutines, so the evaluator waits for the manager
+// to go idle (fleet.Manager.WaitIdle) after every action and te step
+// before advancing virtual time. Each fault then shows its deterministic
+// signature (exactly QuarantineAfter reconcile errors before a quarantine,
+// a recovered edge after an undrain, one convergence per drain toggle);
+// wall-clock durations never enter the report.
 package chaos
 
 import (

@@ -31,9 +31,6 @@ type CrashRestartConfig struct {
 	// TornTailBytes of garbage appended to the active segment model a
 	// record cut mid-write by the crash (default 7).
 	TornTailBytes int
-	// SettleTimeout bounds each real-time wait on the reconciler
-	// (default 10s).
-	SettleTimeout time.Duration
 	Seed          uint64
 }
 
@@ -49,9 +46,6 @@ func (c CrashRestartConfig) withDefaults() CrashRestartConfig {
 	}
 	if c.TornTailBytes == 0 {
 		c.TornTailBytes = 7
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -102,29 +96,6 @@ func (r *CrashRestartReport) Text() string {
 	return b.String()
 }
 
-// crashSettle polls the manager until pred holds.
-func crashSettle(m *fleet.Manager, timeout time.Duration, pred func(fleet.Status) bool, what string) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if pred(m.Status()) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: crash-restart timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-func podByName(st fleet.Status, name string) fleet.PodStatus {
-	for _, p := range st.Pods {
-		if p.Name == name {
-			return p
-		}
-	}
-	return fleet.PodStatus{}
-}
-
 // EvaluateCrashRestart runs the drill: churn a journaled control plane,
 // kill it without a shutdown snapshot, tear the active segment's tail,
 // recover from disk, and verify the recovered intent store is
@@ -149,21 +120,24 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 		Seed:            cfg.Seed,
 		Journal:         store,
 	})
+	// abort tears down the doomed control plane on an error before the
+	// crash point.
+	abort := func(err error) (*CrashRestartReport, error) {
+		mgr.Close()
+		store.Close()
+		return nil, err
+	}
 	backends := make(map[string]*FaultyBackend, len(cfg.Pods))
 	for _, name := range cfg.Pods {
 		b := NewFaultyBackend(NewMemoryBackend())
 		backends[name] = b
 		if err := mgr.AddPod(name, b); err != nil {
-			mgr.Close()
-			store.Close()
-			return nil, err
+			return abort(err)
 		}
 	}
 	inj, err := NewInjector(Targets{Fleet: mgr, Backends: backends})
 	if err != nil {
-		mgr.Close()
-		store.Close()
-		return nil, err
+		return abort(err)
 	}
 	defer inj.Close()
 
@@ -180,9 +154,7 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 			if err := mgr.SetSliceIntent(pod, fleet.SliceIntent{
 				Name: name, Shape: topo.Shape{X: 4, Y: 4, Z: 4},
 			}); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+				return abort(err)
 			}
 			live[pod] = append(live[pod], name)
 			rep.Mutations++
@@ -190,9 +162,7 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 			names := live[pod]
 			victim := names[rng.Intn(len(names))]
 			if err := mgr.RemoveSliceIntent(pod, victim); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+				return abort(err)
 			}
 			out := names[:0]
 			for _, n := range names {
@@ -205,14 +175,10 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 		case k < 0.9:
 			ocsID := rng.Intn(48)
 			if err := mgr.DrainOCS(pod, ocsID); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+				return abort(err)
 			}
 			if err := mgr.UndrainOCS(pod, ocsID); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+				return abort(err)
 			}
 			rep.Mutations += 2
 		default:
@@ -220,39 +186,24 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 			// backend until the reconciler quarantines; restore releases
 			// it. Both derived verdicts are journaled.
 			if err := inj.Apply(Event{Kind: KindPodLoss, Pod: pod}); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+				return abort(err)
 			}
 			name := fmt.Sprintf("churn-%03d", i)
 			if err := mgr.SetSliceIntent(pod, fleet.SliceIntent{
 				Name: name, Shape: topo.Shape{X: 4, Y: 4, Z: 4},
 			}); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+				return abort(err)
 			}
 			live[pod] = append(live[pod], name)
 			rep.Mutations++
-			if err := crashSettle(mgr, cfg.SettleTimeout, func(st fleet.Status) bool {
-				return podByName(st, pod).Quarantined
-			}, "quarantine of "+pod); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+			if err := expectPod(mgr, pod, "quarantine", func(p fleet.PodStatus) bool { return p.Quarantined }); err != nil {
+				return abort(err)
 			}
 			if err := inj.Apply(Event{Kind: KindPodRestore, Pod: pod}); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+				return abort(err)
 			}
-			if err := crashSettle(mgr, cfg.SettleTimeout, func(st fleet.Status) bool {
-				p := podByName(st, pod)
-				return !p.Quarantined && p.Converged
-			}, "recovery of "+pod); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+			if err := expectPod(mgr, pod, "recovery", func(p fleet.PodStatus) bool { return !p.Quarantined && p.Converged }); err != nil {
+				return abort(err)
 			}
 			rep.FaultCycles++
 		}
@@ -260,38 +211,23 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 			// Mid-churn checkpoint: recovery must cross a snapshot + tail
 			// boundary, not just replay a flat log.
 			if err := store.Checkpoint(); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
+				return abort(err)
 			}
 		}
 	}
 	// Let reconcilers drain so the post-restart convergence claim is
 	// about recovery, not leftover churn.
-	if err := crashSettle(mgr, cfg.SettleTimeout, func(st fleet.Status) bool {
-		for _, p := range st.Pods {
-			if !p.Converged {
-				return false
-			}
-		}
-		return st.QueueDepth == 0
-	}, "pre-crash convergence"); err != nil {
-		mgr.Close()
-		store.Close()
-		return nil, err
+	if err := waitConverged(mgr); err != nil {
+		return abort(err)
 	}
 
 	rep.PreCrashDigest, err = store.FleetDigest()
 	if err != nil {
-		mgr.Close()
-		store.Close()
-		return nil, err
+		return abort(err)
 	}
 	preState, err := store.FleetStateCopy()
 	if err != nil {
-		mgr.Close()
-		store.Close()
-		return nil, err
+		return abort(err)
 	}
 	for _, p := range preState.Pods {
 		rep.DesiredSlices += len(p.Slices)
@@ -345,16 +281,8 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 	store2.EndRecovery()
 
 	begin := time.Now()
-	convErr := crashSettle(mgr2, cfg.SettleTimeout, func(st fleet.Status) bool {
-		for _, p := range st.Pods {
-			if !p.Converged {
-				return false
-			}
-		}
-		return st.QueueDepth == 0
-	}, "post-restart convergence")
+	rep.Reconverged = waitConverged(mgr2) == nil
 	rep.ReconvergeSeconds = time.Since(begin).Seconds()
-	rep.Reconverged = convErr == nil
 
 	// Goodput proxy: the fraction of recovered desired slices the fresh
 	// backends actually realized.

@@ -48,11 +48,7 @@ type EvalConfig struct {
 	RecoveredFraction float64
 	// QuarantineAfter is the reconciler's retry budget (default 3).
 	QuarantineAfter int
-	// SettleTimeout bounds each real-time wait for the reconciler to
-	// reach a fault's deterministic post-state (default 10s; generous —
-	// reconcile backoffs are milliseconds).
-	SettleTimeout time.Duration
-	Seed          uint64
+	Seed            uint64
 }
 
 func (c EvalConfig) withDefaults() EvalConfig {
@@ -88,9 +84,6 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	}
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = 3
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -160,9 +153,10 @@ func (r *Report) Text() string {
 
 // Evaluate replays the scenario end-to-end. Phase A is sequential: build
 // the control plane, converge it, then walk epochs — heal the fabric,
-// inject the epoch's faults (waiting for the reconciler to reach each
-// fault's deterministic post-state), snapshot the degraded topology, and
-// feed the te loop a capacity-derated observation. Phase B fans the
+// inject the epoch's faults, snapshot the degraded topology, and feed the
+// te loop a capacity-derated observation. Each action and each te step
+// waits for the reconciler to go idle, and each fault's post-state is
+// checked, so event counts never race the epoch walk. Phase B fans the
 // 2×Epochs flow simulations (intended and degraded topology per epoch)
 // out on the worker pool with per-epoch substreams, so the whole replay
 // is bit-identical at any par worker count.
@@ -181,9 +175,6 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 		return nil, err
 	}
 	defer h.close()
-	if err := h.converge(); err != nil {
-		return nil, err
-	}
 
 	// Subscribe only after setup convergence: boot-time event counts
 	// depend on reconcile interleaving, fault-driven ones do not.
@@ -228,6 +219,9 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 		}
 		if _, err := h.loop.Step(); err != nil {
 			return nil, fmt.Errorf("chaos: te step at epoch %d: %w", e, err)
+		}
+		if err := h.mgr.WaitIdle(); err != nil {
+			return nil, err
 		}
 	}
 
@@ -402,6 +396,11 @@ func newHarness(cfg EvalConfig) (*harness, error) {
 		return nil, fmt.Errorf("%w: trace offers no demand", ErrConfig)
 	}
 	h.scale = cfg.LoadFraction * float64(cfg.Blocks*cfg.Uplinks) * cfg.TrunkBps / peak
+	// Every pod must converge on its boot intent before faults start.
+	if err := waitConverged(mgr); err != nil {
+		h.close()
+		return nil, err
+	}
 	return h, nil
 }
 
@@ -411,92 +410,57 @@ func (h *harness) close() {
 	}
 }
 
-// converge waits for every pod's initial reconcile.
-func (h *harness) converge() error {
-	return h.settle(func(st fleet.Status) bool {
-		for _, p := range st.Pods {
-			if !p.Converged {
-				return false
-			}
-		}
-		return st.QueueDepth == 0
-	}, "initial convergence")
-}
-
-// allSettled holds when every pod is either converged or quarantined —
-// the reconciler's only two stable states (a quarantined pod stays dirty
-// by design until an operator undrains it).
-func allSettled(st fleet.Status) bool {
-	for _, p := range st.Pods {
-		if !p.Converged && !p.Quarantined {
-			return false
-		}
-	}
-	return true
-}
-
-// settle polls fleet status until pred holds — the evaluator's bridge
-// between the reconciler's real-time workers and the replay's virtual
-// clock. Each fault kind settles on a deterministic post-state, so event
-// counts never race the epoch walk.
-func (h *harness) settle(pred func(fleet.Status) bool, what string) error {
-	//lwlint:ignore walltime settle waits on the fleet manager's real-time reconciler workers; the predicate it waits for is deterministic, only the wait itself is wall-clock
-	deadline := time.Now().Add(h.cfg.SettleTimeout)
-	for {
-		if pred(h.mgr.Status()) {
-			return nil
-		}
-		//lwlint:ignore walltime timeout guard for the live reconciler wait above; does not reach results
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: timed out waiting for %s", what)
-		}
-		//lwlint:ignore walltime poll backoff for the live reconciler wait; does not reach results
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-func (h *harness) podStatus(st fleet.Status, name string) fleet.PodStatus {
-	for _, p := range st.Pods {
-		if p.Name == name {
-			return p
-		}
-	}
-	return fleet.PodStatus{}
-}
-
-// applyAction injects one primitive and waits for its deterministic
-// post-state.
+// applyAction injects one primitive, waits for the reconciler to go idle,
+// and checks the fault's deterministic post-state.
 func (h *harness) applyAction(a action) error {
 	ev := a.ev
+	apply := h.inj.Apply
 	if a.lift {
-		if err := h.inj.Lift(ev); err != nil {
-			return err
-		}
-		if ev.Kind == KindSlowDrain {
-			return h.settle(allSettled, "slow-drain lift")
-		}
-		return nil
+		apply = h.inj.Lift
 	}
-	if err := h.inj.Apply(ev); err != nil {
+	if err := apply(ev); err != nil {
 		return err
 	}
-	switch ev.Kind {
-	case KindPodLoss:
-		// The reconciler burns its retry budget and quarantines; waiting
-		// for the quarantine pins the error-event count.
-		return h.settle(func(st fleet.Status) bool {
-			return h.podStatus(st, ev.Pod).Quarantined
-		}, "quarantine of "+ev.Pod)
-	case KindPodRestore:
-		return h.settle(func(st fleet.Status) bool {
-			p := h.podStatus(st, ev.Pod)
-			return !p.Quarantined && p.Converged
-		}, "recovery of "+ev.Pod)
-	case KindOCSOutage, KindOCSRestore, KindStuckDrain, KindSlowDrain:
-		return h.settle(allSettled, string(ev.Kind)+" settle")
+	switch {
+	case !a.lift && ev.Kind == KindPodLoss:
+		// The reconciler burns its retry budget and quarantines, which
+		// pins the error-event count.
+		return expectPod(h.mgr, ev.Pod, "quarantine", func(p fleet.PodStatus) bool { return p.Quarantined })
+	case !a.lift && ev.Kind == KindPodRestore:
+		return expectPod(h.mgr, ev.Pod, "recovery", func(p fleet.PodStatus) bool { return !p.Quarantined && p.Converged })
 	default:
-		return nil
+		return h.mgr.WaitIdle()
 	}
+}
+
+// expectPod waits for the reconciler to go idle and checks one pod's
+// post-state.
+func expectPod(m *fleet.Manager, name, what string, ok func(fleet.PodStatus) bool) error {
+	if err := m.WaitIdle(); err != nil {
+		return err
+	}
+	p, err := m.PodStatus(name)
+	if err != nil {
+		return err
+	}
+	if !ok(p) {
+		return fmt.Errorf("chaos: %s idle without %s: %+v", name, what, p)
+	}
+	return nil
+}
+
+// waitConverged waits for the reconciler to go idle and requires every
+// pod converged.
+func waitConverged(m *fleet.Manager) error {
+	if err := m.WaitIdle(); err != nil {
+		return err
+	}
+	for _, p := range m.Status().Pods {
+		if !p.Converged {
+			return fmt.Errorf("chaos: pod %s idle without converging: %+v", p.Name, p)
+		}
+	}
+	return nil
 }
 
 // fleetApplier realizes te plans through the fleet drain workflow using
@@ -559,8 +523,8 @@ func (b *fabricBackend) Info() fleet.PodInfo {
 }
 
 // drain collects everything the subscription buffered. The epoch walk
-// settle-waited on every fault's post-state, so the feed is complete by
-// the time the walk ends.
+// waited for reconciler idle after every action and te step, so the feed
+// is complete by the time the walk ends.
 func drain(sub *fleet.Subscription) []fleet.Event {
 	var evs []fleet.Event
 	for {

@@ -117,7 +117,7 @@ func TestQuarantineDrillBudgetAndMTTR(t *testing.T) {
 
 // TestEvaluateFullScenarioAllKinds replays every fault kind in one
 // composed scenario — the -race deadlock canary: each injection path
-// crosses injector, fleet and te locks, and every settle must terminate.
+// crosses injector, fleet and te locks, and every idle wait must return.
 func TestEvaluateFullScenarioAllKinds(t *testing.T) {
 	s := Compose("all-kinds",
 		SingleOCSOutage(1, 70, 120, 480),

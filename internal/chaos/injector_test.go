@@ -38,17 +38,8 @@ func testFleet(t *testing.T) (*fleet.Manager, *FaultyBackend, *Injector) {
 
 func waitPod(t *testing.T, m *fleet.Manager, pred func(fleet.PodStatus) bool, what string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		for _, p := range m.Status().Pods {
-			if p.Name == "pod0" && pred(p) {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
+	if err := expectPod(m, "pod0", what, pred); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -203,16 +194,13 @@ func TestInjectorOCSOutageHealCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.close()
-	if err := h.converge(); err != nil {
-		t.Fatal(err)
-	}
 	intended := h.loop.Current()
 	full := trunkTotal(h.inj.Degraded(intended))
 
 	if err := h.inj.Apply(Event{Kind: KindOCSOutage, OCS: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.settle(allSettled, "outage"); err != nil {
+	if err := h.mgr.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if got := trunkTotal(h.inj.Degraded(intended)); got >= full {
@@ -234,7 +222,7 @@ func TestInjectorOCSOutageHealCycle(t *testing.T) {
 	if err := h.inj.Apply(Event{Kind: KindOCSRestore, OCS: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.settle(allSettled, "restore"); err != nil {
+	if err := h.mgr.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if st := h.inj.Status(); st.DownSwitches != 0 {

@@ -14,7 +14,7 @@ import (
 
 // startChaosFleetServer brings up a one-pod manager whose backend is
 // wrapped in a chaos.FaultyBackend, with fault injection enabled on the
-// server, and returns a dialer plus the manager for settle-waits.
+// server, and returns a dialer plus the manager for idle waits.
 func startChaosFleetServer(t *testing.T) (dial func() *Client, m *fleet.Manager) {
 	t.Helper()
 	m = fleet.NewManager(fleet.Options{

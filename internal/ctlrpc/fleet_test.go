@@ -223,21 +223,18 @@ func TestFleetDrainUndrainOverWire(t *testing.T) {
 	}
 }
 
+// waitPod waits for the reconciler to go idle and asserts the pod's state.
 func waitPod(t *testing.T, m *fleet.Manager, pod string, pred func(fleet.PodStatus) bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ps, err := m.PodStatus(pod)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred(ps) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pod %s never reached state; last = %+v", pod, ps)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := m.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := m.PodStatus(pod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pred(ps) {
+		t.Fatalf("pod %s idle in the wrong state: %+v", pod, ps)
 	}
 }
 

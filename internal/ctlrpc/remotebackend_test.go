@@ -2,38 +2,30 @@ package ctlrpc
 
 import (
 	"testing"
-	"time"
 
 	"lightwave/internal/fleet"
 	"lightwave/internal/topo"
 )
 
-// waitConverged polls until every named pod reports converged.
+// waitConverged waits for the reconciler to go idle and asserts every
+// named pod converged.
 func waitConverged(t *testing.T, m *fleet.Manager, pods ...string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, name := range pods {
-			ps, err := m.PodStatus(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ps.Converged || ps.Quarantined {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := m.WaitIdle(); err != nil {
+		t.Fatal(err)
 	}
 	for _, name := range pods {
-		ps, _ := m.PodStatus(name)
-		t.Errorf("pod %s not converged: %+v", name, ps)
+		ps, err := m.PodStatus(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ps.Converged || ps.Quarantined {
+			t.Errorf("pod %s not converged: %+v", name, ps)
+		}
 	}
-	t.FailNow()
+	if t.Failed() {
+		t.FailNow()
+	}
 }
 
 // TestRemoteBackendFleetReconcile reconciles a multi-pod fleet.Manager

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"testing"
-	"time"
 
 	"lightwave/internal/core"
 	"lightwave/internal/sched"
@@ -111,9 +110,7 @@ func TestManagerWithFabricBackends(t *testing.T) {
 	if err := m.AddPod("p1", b1); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Subscribe(64)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 64)
 
 	if err := m.SetSliceIntent("p0", SliceIntent{Name: "train", Shape: topo.Shape{X: 4, Y: 4, Z: 16}}); err != nil {
 		t.Fatal(err)
@@ -121,7 +118,7 @@ func TestManagerWithFabricBackends(t *testing.T) {
 	if err := m.SetSliceIntent("p1", SliceIntent{Name: "serve", Shape: topo.Shape{X: 4, Y: 4, Z: 8}, Cubes: []int{3, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 10*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceReady) >= 1 &&
 			countEvents(evs, "p1", EventSliceReady) >= 1
 	})
@@ -185,9 +182,7 @@ func TestManagerResolvesCyclicCubeMigration(t *testing.T) {
 	if err := m.AddPod("p", b); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Subscribe(64)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 64)
 	shape := topo.Shape{X: 4, Y: 4, Z: 8}
 	if err := m.SetSliceIntent("p", SliceIntent{Name: "a", Shape: shape, Cubes: []int{0, 1}}); err != nil {
 		t.Fatal(err)
@@ -195,7 +190,7 @@ func TestManagerResolvesCyclicCubeMigration(t *testing.T) {
 	if err := m.SetSliceIntent("p", SliceIntent{Name: "z", Shape: shape, Cubes: []int{2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 10*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p", EventSliceReady) >= 2
 	})
 	// Swap the two slices' cubes — a cyclic migration no single ensure
@@ -206,7 +201,7 @@ func TestManagerResolvesCyclicCubeMigration(t *testing.T) {
 	if err := m.SetSliceIntent("p", SliceIntent{Name: "z", Shape: shape, Cubes: []int{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 10*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		st := m.Status()
 		return len(st.Pods) == 1 && st.Pods[0].Converged && !st.Pods[0].Quarantined
 	})

@@ -74,7 +74,10 @@ var (
 type Manager struct {
 	opts Options
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// idle is signalled on mu whenever a pod may have become quiescent:
+	// a worker leaving its reconcile loop, RemovePod, or Close.
+	idle    *sync.Cond
 	pods    map[string]*pod
 	subs    map[int]*Subscription
 	nextSub int
@@ -106,6 +109,8 @@ type pod struct {
 	drained      bool
 	drainedOCS   map[int]bool
 	quarantined  bool
+	deferred     bool // last pass held new slices back behind an OCS drain
+	busy         bool // the worker is inside its reconcile loop
 	recovering   bool // quarantine released; next convergence is a recovery
 	failures     int  // consecutive reconcile failures
 	gen          uint64
@@ -133,7 +138,7 @@ func NewManager(opts Options) *Manager {
 		opts.QuarantineAfter = 5
 	}
 	reg := opts.Metrics
-	return &Manager{
+	m := &Manager{
 		opts: opts,
 		pods: make(map[string]*pod),
 		subs: make(map[int]*Subscription),
@@ -147,6 +152,8 @@ func NewManager(opts Options) *Manager {
 		convergence:     reg.Distribution("fleet.convergence_seconds", 0.001, 0.01, 0.1, 1, 10, 60),
 		watchDropped:    reg.Counter("fleet.watch_dropped_total"),
 	}
+	m.idle = sync.NewCond(&m.mu)
+	return m
 }
 
 // Metrics returns the registry the fleet is instrumented through.
@@ -211,6 +218,7 @@ func (m *Manager) RemovePod(name string) error {
 	}
 	delete(m.pods, name)
 	close(p.stop)
+	m.idle.Broadcast()
 	m.emitLocked(Event{Pod: name, Type: EventPodRemoved})
 	m.queueDepth.Set(float64(m.dirtyLocked()))
 	m.quarantinedPods.Set(float64(m.quarantinedLocked()))
@@ -239,6 +247,7 @@ func (m *Manager) Close() {
 	}
 	m.closed = true
 	close(m.done)
+	m.idle.Broadcast()
 	m.mu.Unlock()
 	m.wg.Wait()
 	m.mu.Lock()
@@ -247,6 +256,40 @@ func (m *Manager) Close() {
 		close(s.ch)
 	}
 	m.mu.Unlock()
+}
+
+// WaitIdle blocks until every pod is quiescent: converged, quarantined, or
+// holding new slices deferred behind an OCS drain, with no reconcile pass
+// in flight and no retry backoff pending. It returns ErrClosed once Close
+// runs. Replays call it after each event they inject, so every event
+// lands on a settled fleet whatever the OS scheduling; the daemons never
+// need it.
+func (m *Manager) WaitIdle() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for !m.closed && !m.idleLocked() {
+		m.idle.Wait()
+	}
+	if m.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+func (m *Manager) idleLocked() bool {
+	for _, p := range m.pods {
+		if p.busy || !p.settledLocked() {
+			return false
+		}
+	}
+	return true
+}
+
+// settledLocked reports whether the pod needs no reconcile pass: nothing
+// is dirty, the pod is quarantined (it waits for an undrain), or its last
+// pass deferred new slices and nothing changed since.
+func (p *pod) settledLocked() bool {
+	return !p.dirty || p.quarantined || p.deferred
 }
 
 func (m *Manager) podLocked(name string) (*pod, error) {
@@ -485,6 +528,7 @@ func (m *Manager) UndrainOCS(podName string, ocsID int) error {
 // markDirtyLocked records pending work and wakes the pod's worker.
 func (m *Manager) markDirtyLocked(p *pod) {
 	p.gen++
+	p.deferred = false
 	if !p.dirty {
 		p.dirty = true
 		p.dirtySince = time.Now()

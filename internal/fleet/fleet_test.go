@@ -80,30 +80,36 @@ func fastOptions(reg *telemetry.Registry) Options {
 	}
 }
 
-// collector accumulates a subscription's events across successive waits so
-// predicates can count cumulatively.
+// collector accumulates a subscription's events across successive idle
+// points so predicates can count cumulatively.
 type collector struct {
+	m    *Manager
 	sub  *Subscription
 	seen []Event
 }
 
-// waitFor drains the subscription until pred over all events seen so far is
-// satisfied or the deadline hits, returning the cumulative event list.
-func (c *collector) waitFor(t *testing.T, timeout time.Duration, pred func([]Event) bool) []Event {
+func newCollector(t *testing.T, m *Manager, buffer int) *collector {
+	sub := m.Subscribe(buffer)
+	t.Cleanup(sub.Close)
+	return &collector{m: m, sub: sub}
+}
+
+// idle waits for the manager to go idle, collects every event emitted so
+// far, and asserts pred over the cumulative list, which it returns.
+func (c *collector) idle(t *testing.T, pred func([]Event) bool) []Event {
 	t.Helper()
-	deadline := time.After(timeout)
+	if err := c.m.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
 	for {
-		if pred(c.seen) {
-			return c.seen
-		}
 		select {
-		case ev, ok := <-c.sub.Events():
-			if !ok {
-				t.Fatalf("subscription closed; saw %d events", len(c.seen))
-			}
+		case ev := <-c.sub.Events():
 			c.seen = append(c.seen, ev)
-		case <-deadline:
-			t.Fatalf("timeout; saw events: %+v", c.seen)
+		default:
+			if !pred(c.seen) {
+				t.Fatalf("idle with events: %+v", c.seen)
+			}
+			return c.seen
 		}
 	}
 }
@@ -125,9 +131,7 @@ func TestReconcileConverges(t *testing.T) {
 	if err := m.AddPod("p0", b); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Subscribe(64)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 64)
 
 	if err := m.SetSliceIntent("p0", SliceIntent{Name: "a", Shape: topo.Shape{X: 4, Y: 4, Z: 8}}); err != nil {
 		t.Fatal(err)
@@ -135,7 +139,7 @@ func TestReconcileConverges(t *testing.T) {
 	if err := m.SetSliceIntent("p0", SliceIntent{Name: "b", Shape: topo.Shape{X: 4, Y: 4, Z: 4}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceReady) >= 2 &&
 			countEvents(evs, "p0", EventConverged) >= 1
 	})
@@ -154,7 +158,7 @@ func TestReconcileConverges(t *testing.T) {
 	if err := m.RemoveSliceIntent("p0", "a"); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceRemoved) >= 1
 	})
 	if got := b.Slices(); len(got) != 1 || got[0] != "b" {
@@ -194,9 +198,7 @@ func TestFleetQuarantineAndConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub := m.Subscribe(256)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 256)
 
 	// Apply intents for every pod concurrently: two per healthy pod, one
 	// for the failing pod.
@@ -222,7 +224,7 @@ func TestFleetQuarantineAndConvergence(t *testing.T) {
 	}()
 	wg.Wait()
 
-	evs := col.waitFor(t, 10*time.Second, func(evs []Event) bool {
+	evs := col.idle(t, func(evs []Event) bool {
 		for _, name := range healthy {
 			if countEvents(evs, name, EventSliceReady) < 2 {
 				return false
@@ -245,14 +247,17 @@ func TestFleetQuarantineAndConvergence(t *testing.T) {
 		}
 	}
 
-	// (b) The failing pod is quarantined, with backoff observable in the
-	// registry.
+	// (b) The failing pod is quarantined after exactly its retry budget,
+	// with backoff observable in the registry.
 	ps, err := m.PodStatus("bad")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ps.Quarantined || ps.ConsecutiveFailures < 3 || ps.LastError == "" {
 		t.Fatalf("bad pod status = %+v", ps)
+	}
+	if n := countEvents(evs, "bad", EventReconcileError); n != opts.QuarantineAfter {
+		t.Errorf("bad pod idle after %d reconcile errors, want %d", n, opts.QuarantineAfter)
 	}
 	if got := reg.Counter("fleet.pod.bad.retries_total").Value(); got < 3 {
 		t.Errorf("bad pod retries = %d", got)
@@ -299,7 +304,7 @@ func TestFleetQuarantineAndConvergence(t *testing.T) {
 	if err := m.UndrainPod("bad"); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "bad", EventSliceReady) >= 1
 	})
 	if got := bad.Slices(); len(got) != 1 || got[0] != "doomed" {
@@ -317,21 +322,19 @@ func TestDrainUndrainPod(t *testing.T) {
 	if err := m.AddPod("p0", b); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Subscribe(64)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 64)
 
 	if err := m.SetSliceIntent("p0", SliceIntent{Name: "a", Shape: topo.Shape{X: 4, Y: 4, Z: 8}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceReady) >= 1
 	})
 
 	if err := m.DrainPod("p0"); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventDrained) >= 1 && len(b.Slices()) == 0
 	})
 	ps, _ := m.PodStatus("p0")
@@ -342,7 +345,7 @@ func TestDrainUndrainPod(t *testing.T) {
 	if err := m.UndrainPod("p0"); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceReady) >= 2
 	})
 	if got := b.Slices(); len(got) != 1 {
@@ -357,14 +360,12 @@ func TestDrainOCSDefersNewSlices(t *testing.T) {
 	if err := m.AddPod("p0", b); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Subscribe(64)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 64)
 
 	if err := m.SetSliceIntent("p0", SliceIntent{Name: "old", Shape: topo.Shape{X: 4, Y: 4, Z: 4}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceReady) >= 1
 	})
 
@@ -374,7 +375,7 @@ func TestDrainOCSDefersNewSlices(t *testing.T) {
 	if err := m.SetSliceIntent("p0", SliceIntent{Name: "new", Shape: topo.Shape{X: 4, Y: 4, Z: 4}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventDeferred) >= 1
 	})
 	if got := b.Slices(); len(got) != 1 || got[0] != "old" {
@@ -388,7 +389,7 @@ func TestDrainOCSDefersNewSlices(t *testing.T) {
 	if err := m.UndrainOCS("p0", 7); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceReady) >= 2
 	})
 	if got := b.Slices(); len(got) != 2 {
@@ -403,9 +404,7 @@ func TestReplaceIntent(t *testing.T) {
 	if err := m.AddPod("p0", b); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Subscribe(64)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 64)
 
 	if err := m.ReplaceIntent("p0", []SliceIntent{
 		{Name: "a", Shape: topo.Shape{X: 4, Y: 4, Z: 4}},
@@ -413,7 +412,7 @@ func TestReplaceIntent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceReady) >= 2
 	})
 	if err := m.ReplaceIntent("p0", []SliceIntent{
@@ -421,7 +420,7 @@ func TestReplaceIntent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "p0", EventSliceRemoved) >= 2 &&
 			countEvents(evs, "p0", EventSliceReady) >= 3
 	})

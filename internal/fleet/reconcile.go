@@ -16,9 +16,10 @@ type reconcileResult struct {
 	deferred int      // new slices held back by an OCS drain
 }
 
-// worker is one pod's reconcile loop: wait for a kick, reconcile until
-// converged, backing off with jitter between failed attempts and
-// quarantining the pod when the retry budget is exhausted.
+// worker is one pod's reconcile loop: wait for a kick, reconcile until the
+// pod settles, backing off with jitter between failed attempts and
+// quarantining the pod when the retry budget is exhausted. The loop only
+// exits where it finds the pod settled, which is where WaitIdle wakes.
 func (m *Manager) worker(p *pod, rngSeed uint64) {
 	defer m.wg.Done()
 	rng := sim.NewRand(rngSeed)
@@ -33,10 +34,13 @@ func (m *Manager) worker(p *pod, rngSeed uint64) {
 		}
 		for {
 			m.mu.Lock()
-			if p.quarantined || !p.dirty {
+			if p.settledLocked() {
+				p.busy = false
+				m.idle.Broadcast()
 				m.mu.Unlock()
 				break
 			}
+			p.busy = true
 			gen := p.gen
 			desired := make(map[string]SliceIntent, len(p.desired))
 			for name, in := range p.desired {
@@ -52,15 +56,15 @@ func (m *Manager) worker(p *pod, rngSeed uint64) {
 			p.reconciles.Inc()
 
 			if err == nil {
+				// A stale pass (intent changed mid-pass) re-reconciles at
+				// once from a fresh snapshot.
 				if m.finishPass(p, gen, res, drained) {
 					backoff = m.opts.BaseBackoff
-					break
 				}
-				continue // intent changed mid-pass: re-reconcile now
+				continue
 			}
 
-			quarantined := m.recordFailure(p, err)
-			if quarantined {
+			if m.recordFailure(p, err) {
 				if m.opts.Alerts != nil {
 					m.opts.Alerts.Post(telemetry.Alert{
 						Source:   "fleet/" + p.name,
@@ -68,7 +72,7 @@ func (m *Manager) worker(p *pod, rngSeed uint64) {
 						Message:  fmt.Sprintf("pod quarantined after %d consecutive reconcile failures: %v", m.opts.QuarantineAfter, err),
 					})
 				}
-				break
+				continue
 			}
 			m.backoffs.Inc()
 			// ±50% jitter decorrelates pods retrying a shared-cause fault.
@@ -113,6 +117,7 @@ func (m *Manager) finishPass(p *pod, gen uint64, res reconcileResult, drained bo
 	if res.deferred > 0 {
 		// Not converged, but not a failure either: the pod stays dirty and
 		// re-reconciles when the OCS drain lifts.
+		p.deferred = true
 		m.emitLocked(Event{Pod: p.name, Type: EventDeferred,
 			Detail: fmt.Sprintf("%d slices await ocs undrain", res.deferred)})
 		return true

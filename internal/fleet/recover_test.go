@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"lightwave/internal/telemetry"
 	"lightwave/internal/topo"
@@ -21,16 +20,14 @@ func TestQuarantineRecoveryEmitsRecovered(t *testing.T) {
 	if err := m.AddPod("pod0", b); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Subscribe(256)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 256)
 
 	// Healthy convergence first: no recovery event may appear.
 	in := SliceIntent{Name: "s0", Shape: topo.Shape{X: 4, Y: 4, Z: 4}}
 	if err := m.SetSliceIntent("pod0", in); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "pod0", EventConverged) >= 1
 	})
 	if n := countEvents(col.seen, "pod0", EventRecovered); n != 0 {
@@ -42,7 +39,7 @@ func TestQuarantineRecoveryEmitsRecovered(t *testing.T) {
 	if err := m.SetSliceIntent("pod0", SliceIntent{Name: "s1", Shape: topo.Shape{X: 4, Y: 4, Z: 4}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "pod0", EventQuarantined) >= 1
 	})
 
@@ -52,7 +49,7 @@ func TestQuarantineRecoveryEmitsRecovered(t *testing.T) {
 	if err := m.UndrainPod("pod0"); err != nil {
 		t.Fatal(err)
 	}
-	evs := col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	evs := col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "pod0", EventRecovered) >= 1 &&
 			countEvents(evs, "pod0", EventConverged) >= 2
 	})
@@ -79,7 +76,7 @@ func TestQuarantineRecoveryEmitsRecovered(t *testing.T) {
 	if err := m.SetSliceIntent("pod0", SliceIntent{Name: "s2", Shape: topo.Shape{X: 4, Y: 4, Z: 4}}); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "pod0", EventSliceReady) >= 3
 	})
 	if n := countEvents(col.seen, "pod0", EventRecovered); n != 1 {
@@ -96,16 +93,14 @@ func TestUndrainWithoutQuarantineNoRecovered(t *testing.T) {
 	if err := m.AddPod("pod0", newFakeBackend()); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Subscribe(256)
-	defer sub.Close()
-	col := &collector{sub: sub}
+	col := newCollector(t, m, 256)
 	if err := m.DrainPod("pod0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.UndrainPod("pod0"); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 5*time.Second, func(evs []Event) bool {
+	col.idle(t, func(evs []Event) bool {
 		return countEvents(evs, "pod0", EventUndrained) >= 1 &&
 			countEvents(evs, "pod0", EventConverged) >= 1
 	})

@@ -168,6 +168,7 @@ func DefaultConfig() Config {
 			"lightwave/internal/sched",
 			"lightwave/internal/chaos",
 			"lightwave/internal/mlperf",
+			"lightwave/internal/superpod",
 		},
 		WallClockFiles: []string{
 			// The TE runner is the wall-clock seam between the
@@ -176,6 +177,9 @@ func DefaultConfig() Config {
 			// Crash-restart drives a real SIGKILL'd process; its waits
 			// are wall-clock by nature.
 			"internal/chaos/crashrestart.go",
+			// The superpod runner ticks the scheduler on a wall-clock
+			// ticker inside lwfleetd -sched.
+			"internal/superpod/runner.go",
 		},
 		LockOrder: []LockClass{
 			// ctlrpc handlers never nest into the injector or manager

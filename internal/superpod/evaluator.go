@@ -48,9 +48,6 @@ type EvalConfig struct {
 	PodRestoreAtSeconds float64
 	// QuarantineAfter is the reconciler's retry budget (default 3).
 	QuarantineAfter int
-	// SettleTimeout bounds each real-time wait for the reconciler
-	// (default 20s; reconcile backoffs are milliseconds).
-	SettleTimeout time.Duration
 	// UseMLPerfShapes picks each job's slice shape with the par.Sweep
 	// mlperf step-time search instead of the max-bisection default.
 	UseMLPerfShapes bool
@@ -81,9 +78,6 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	}
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = 3
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 20 * time.Second
 	}
 	return c
 }
@@ -311,126 +305,122 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 		return po, err
 	}
 
-	settle := func(pred func(fleet.Status) bool, what string) error {
-		deadline := time.Now().Add(cfg.SettleTimeout)
-		for {
-			if pred(mgr.Status()) {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("timed out waiting for %s", what)
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-	podStatus := func(st fleet.Status, name string) fleet.PodStatus {
-		for _, p := range st.Pods {
-			if p.Name == name {
-				return p
-			}
-		}
-		return fleet.PodStatus{}
-	}
-	allSettled := func(st fleet.Status) bool {
-		for _, p := range st.Pods {
-			if !p.Converged && !p.Quarantined {
-				return false
-			}
-		}
-		return true
-	}
-
 	down := make([]bool, cfg.Pods)
-	for _, ev := range events {
-		if err := s.AdvanceTo(ev.at); err != nil {
-			return po, err
-		}
+	// apply replays one event's transition against the scheduler and the
+	// hardware.
+	apply := func(ev event) error {
 		switch ev.kind {
 		case evArrival:
 			if _, _, err := s.Submit(ev.spec); err != nil {
-				return po, err
+				return err
 			}
 		case evWarmup:
 			s.StartMeasurement()
 		case evFail:
 			st, err := s.CubeState(pods[ev.pod], ev.cube)
 			if err != nil {
-				return po, err
+				return err
 			}
 			if down[ev.pod] || st == sched.Failed {
 				po.FailsSkipped++
-				continue
+				return nil
 			}
 			// Scheduler first: it evicts or swaps the victim job off the
 			// cube (intent updates), the fleet realizes the moves, and only
 			// then is the cube marked failed on the hardware — so the mark
 			// must find it unowned.
 			if err := s.FailCube(pods[ev.pod], ev.cube); err != nil {
-				return po, err
+				return err
 			}
-			if err := settle(allSettled, fmt.Sprintf("cube %d failure on %s", ev.cube, pods[ev.pod])); err != nil {
-				return po, err
+			if err := mgr.WaitIdle(); err != nil {
+				return err
 			}
 			rc, err := fbs[ev.pod].FailCube(ev.cube)
 			if err != nil {
-				return po, err
+				return err
 			}
 			if rc != -1 {
-				return po, fmt.Errorf("cube %d on %s still owned at hardware failure (swap rc=%d)", ev.cube, pods[ev.pod], rc)
+				return fmt.Errorf("cube %d on %s still owned at hardware failure (swap rc=%d)", ev.cube, pods[ev.pod], rc)
 			}
 			po.FailsApplied++
 		case evRepair:
 			st, err := s.CubeState(pods[ev.pod], ev.cube)
 			if err != nil {
-				return po, err
+				return err
 			}
 			if down[ev.pod] || st != sched.Failed {
 				po.RepairsSkipped++
-				continue
+				return nil
 			}
 			// Hardware first so the cube is genuinely usable when the
 			// scheduler immediately re-places queued jobs onto it.
 			if err := fbs[ev.pod].RepairCube(ev.cube); err != nil {
-				return po, err
+				return err
 			}
 			if err := s.RepairCube(pods[ev.pod], ev.cube); err != nil {
-				return po, err
+				return err
 			}
 			po.RepairsApplied++
 		case evPodLoss:
 			cbs[ev.pod].Fail(errors.New("superpod: pod lost"))
 			if err := s.SetPodDown(pods[ev.pod], true); err != nil {
-				return po, err
+				return err
 			}
 			if err := mgr.Poke(pods[ev.pod]); err != nil {
-				return po, err
+				return err
 			}
-			if err := settle(allSettled, "pod loss settle"); err != nil {
-				return po, err
+			if err := mgr.WaitIdle(); err != nil {
+				return err
 			}
-			po.Quarantined = podStatus(mgr.Status(), pods[ev.pod]).Quarantined
+			ps, err := mgr.PodStatus(pods[ev.pod])
+			if err != nil {
+				return err
+			}
+			po.Quarantined = ps.Quarantined
 			down[ev.pod] = true
 		case evPodRestore:
 			cbs[ev.pod].Heal()
 			if err := mgr.UndrainPod(pods[ev.pod]); err != nil {
-				return po, err
+				return err
 			}
-			if err := settle(func(st fleet.Status) bool {
-				p := podStatus(st, pods[ev.pod])
-				return p.Converged && !p.Quarantined
-			}, "pod restore settle"); err != nil {
-				return po, err
+			if err := mgr.WaitIdle(); err != nil {
+				return err
+			}
+			ps, err := mgr.PodStatus(pods[ev.pod])
+			if err != nil {
+				return err
+			}
+			if !ps.Converged || ps.Quarantined {
+				return fmt.Errorf("%s did not reconverge after restore: %+v", pods[ev.pod], ps)
 			}
 			down[ev.pod] = false
 			if err := s.SetPodDown(pods[ev.pod], false); err != nil {
-				return po, err
+				return err
 			}
+		}
+		return nil
+	}
+	// Every scheduler step and every event waits for the reconciler to go
+	// idle, so the next one lands on a settled fleet whatever the OS
+	// scheduling of its workers.
+	for _, ev := range events {
+		if err := s.AdvanceTo(ev.at); err != nil {
+			return po, err
+		}
+		if err := mgr.WaitIdle(); err != nil {
+			return po, err
+		}
+		if err := apply(ev); err != nil {
+			return po, err
+		}
+		if err := mgr.WaitIdle(); err != nil {
+			return po, err
 		}
 	}
 	if err := s.AdvanceTo(cfg.HorizonSeconds); err != nil {
 		return po, err
 	}
-	if err := settle(allSettled, "final convergence"); err != nil {
+	if err := mgr.WaitIdle(); err != nil {
 		return po, err
 	}
 

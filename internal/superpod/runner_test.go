@@ -192,20 +192,16 @@ func TestRunnerTicksAgainstFleet(t *testing.T) {
 	if st.Completed+st.Preempted+st.RunningJobs != st.Started {
 		t.Fatalf("accounting broken: %+v", st)
 	}
-	// The fleet should carry some of the scheduler's slices once the
-	// reconciler catches up.
-	settleDeadline := time.Now().Add(5 * time.Second)
-	for {
-		total := 0
-		for _, fb := range fbs {
-			total += len(fb.Slices())
-		}
-		if total == st.RunningJobs {
-			break
-		}
-		if time.Now().After(settleDeadline) {
-			t.Fatalf("fleet carries %d slices, scheduler runs %d jobs", total, st.RunningJobs)
-		}
-		time.Sleep(time.Millisecond)
+	// Once the reconciler is idle the fleet carries exactly the
+	// scheduler's running slices.
+	if err := mgr.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, fb := range fbs {
+		total += len(fb.Slices())
+	}
+	if total != st.RunningJobs {
+		t.Fatalf("fleet carries %d slices, scheduler runs %d jobs", total, st.RunningJobs)
 	}
 }

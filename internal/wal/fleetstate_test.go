@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"lightwave/internal/core"
 	"lightwave/internal/fleet"
@@ -174,18 +173,10 @@ func TestFleetStateApplyTo(t *testing.T) {
 	if err := m.UndrainOCS("pod0", 11); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ps, err := m.PodStatus("pod0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ps.Converged && len(ps.ActualSlices) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pod0 never converged on recovered intent: %+v", ps)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := m.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if ps, err := m.PodStatus("pod0"); err != nil || !ps.Converged || len(ps.ActualSlices) != 1 {
+		t.Fatalf("pod0 never converged on recovered intent: %+v (%v)", ps, err)
 	}
 }

@@ -178,28 +178,25 @@ func mutatePhase2(t *testing.T, ss *session) {
 	}
 }
 
-// waitConverged polls fleet-status until every pod converged.
+// waitConverged waits for the reconciler to go idle and asserts over
+// fleet-status that every pod converged.
 func waitConverged(t *testing.T, ss *session) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st, err := ss.cli.FleetStatus()
-		if err != nil {
-			t.Fatal(err)
+	if err := ss.m.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ss.cli.FleetStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := len(st.Pods) == restartPods
+	for _, p := range st.Pods {
+		if !p.Converged {
+			all = false
 		}
-		all := len(st.Pods) == restartPods
-		for _, p := range st.Pods {
-			if !p.Converged {
-				all = false
-			}
-		}
-		if all && st.QueueDepth == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet never converged: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if !all || st.QueueDepth != 0 {
+		t.Fatalf("fleet never converged: %+v", st)
 	}
 }
 
